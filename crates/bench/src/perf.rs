@@ -380,9 +380,28 @@ fn total_ff_mips(doc: &Json) -> Option<f64> {
         .and_then(Json::as_num)
 }
 
+/// Reads the `run` block (seed, fast_forward, horizon) out of a
+/// `BENCH_perf.json`-shaped document, rendered for comparison and error
+/// messages.
+fn run_spec(doc: &Json) -> Option<String> {
+    let run = doc.get("run")?;
+    let field = |key| run.get(key).and_then(Json::as_num);
+    Some(format!(
+        "seed={}, fast_forward={}, horizon={}",
+        field("seed")?,
+        field("fast_forward")?,
+        field("horizon")?
+    ))
+}
+
 /// Gates a fresh perf document against the committed baseline at
 /// `path`: measured MIPS must be at least
 /// `(1 - tolerance) × baseline MIPS`.
+///
+/// The two documents must come from the same run spec: throughput
+/// depends on the window (a long run warms caches and predictors a
+/// short one never reaches), so a baseline whose `run` block differs
+/// from the fresh run's is refused rather than compared.
 ///
 /// Both throughput rows are gated independently: `total.sim_mips`
 /// (cycle-level) always, and `fast_forward.total.ff_mips` whenever the
@@ -393,7 +412,8 @@ fn total_ff_mips(doc: &Json) -> Option<f64> {
 /// # Errors
 ///
 /// [`Error::Io`] if the baseline is unreadable, [`Error::Usage`] if
-/// either document lacks a row the comparison needs, and
+/// either document lacks a row the comparison needs or the two `run`
+/// blocks differ, and
 /// [`Error::PerfRegression`] when a measured throughput falls below its
 /// tolerated floor.
 pub fn check_baseline(fresh: &Json, path: &Path, tolerance: f64) -> Result<(), Error> {
@@ -405,6 +425,18 @@ pub fn check_baseline(fresh: &Json, path: &Path, tolerance: f64) -> Result<(), E
         .ok_or_else(|| Error::Usage(format!("{}: no total.sim_mips", path.display())))?;
     let measured =
         total_mips(fresh).ok_or_else(|| Error::Usage("fresh run: no total.sim_mips".into()))?;
+    let spec = run_spec(fresh).ok_or_else(|| Error::Usage("fresh run: no run block".into()))?;
+    match run_spec(&baseline_doc) {
+        Some(pinned) if pinned == spec => {}
+        pinned => {
+            return Err(Error::Usage(format!(
+                "{}: baseline run ({}) does not match this run ({spec}); \
+                 gate against a baseline measured with the same run spec",
+                path.display(),
+                pinned.as_deref().unwrap_or("no run block"),
+            )))
+        }
+    }
     if measured < baseline * (1.0 - tolerance) {
         return Err(Error::PerfRegression {
             measured_mips: measured,
@@ -540,18 +572,23 @@ mod tests {
         hollow = Json::parse(
             &hollow
                 .pretty()
-                .replace("\"fast_forward\"", "\"fast_forward_renamed\""),
+                .replace("\"fast_forward\": {", "\"fast_forward_renamed\": {"),
         )
         .unwrap();
-        assert!(matches!(
-            check_baseline(&hollow, &path, MIPS_REGRESSION_TOLERANCE),
-            Err(Error::Usage(_))
-        ));
+        match check_baseline(&hollow, &path, MIPS_REGRESSION_TOLERANCE) {
+            Err(Error::Usage(msg)) => assert!(msg.contains("ff_mips"), "{msg}"),
+            other => panic!("expected Usage, got {other:?}"),
+        }
 
         // An old-style baseline without an ff row gates only the
         // pipeline MIPS.
         let old_path = dir.join("old_baseline.json");
-        std::fs::write(&old_path, "{\"total\": {\"sim_mips\": 2.0}}").unwrap();
+        std::fs::write(
+            &old_path,
+            "{\"run\": {\"seed\": 7, \"fast_forward\": 200, \"horizon\": 2000}, \
+             \"total\": {\"sim_mips\": 2.0}}",
+        )
+        .unwrap();
         let ff_free = perf_doc(&rs, &pipeline, &fake_ff(1, 1.0));
         check_baseline(&ff_free, &old_path, MIPS_REGRESSION_TOLERANCE).unwrap();
     }
@@ -600,6 +637,53 @@ mod tests {
                 assert!((tolerance - MIPS_REGRESSION_TOLERANCE).abs() < 1e-9);
             }
             other => panic!("expected PerfRegression, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn baseline_gate_rejects_a_mismatched_run_spec() {
+        let rs = tiny();
+        let dir = std::env::temp_dir().join("hydra_perf_baseline_run_spec_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("perf_baseline.json");
+        let report = fake(2_000_000, 1.0, 0, 1_000_000);
+        let ff = fake_ff(100_000_000, 1.0);
+        std::fs::write(&path, perf_doc(&rs, &report, &ff).pretty()).unwrap();
+
+        // Same speed, but a longer window, another seed or another
+        // fast-forward: each is a usage error naming both specs, never a
+        // pass or a regression verdict.
+        for other in [
+            RunSpec {
+                horizon: 1_000_000,
+                ..rs
+            },
+            RunSpec { seed: 8, ..rs },
+            RunSpec {
+                fast_forward: 100,
+                ..rs
+            },
+        ] {
+            let fresh = perf_doc(&other, &report, &ff);
+            match check_baseline(&fresh, &path, MIPS_REGRESSION_TOLERANCE) {
+                Err(Error::Usage(msg)) => {
+                    assert!(msg.contains("horizon=2000"), "{msg}");
+                    assert!(msg.contains(&format!("horizon={}", other.horizon)), "{msg}");
+                }
+                got => panic!("expected Usage, got {got:?}"),
+            }
+        }
+
+        // A baseline without a run block cannot be matched either.
+        let bare = dir.join("bare.json");
+        std::fs::write(&bare, "{\"total\": {\"sim_mips\": 2.0}}").unwrap();
+        match check_baseline(
+            &perf_doc(&rs, &report, &ff),
+            &bare,
+            MIPS_REGRESSION_TOLERANCE,
+        ) {
+            Err(Error::Usage(msg)) => assert!(msg.contains("no run block"), "{msg}"),
+            got => panic!("expected Usage, got {got:?}"),
         }
     }
 

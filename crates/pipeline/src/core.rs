@@ -14,9 +14,15 @@
 //! Renaming happens at fetch: each path carries a map from architectural
 //! register to the sequence number of its latest in-flight producer, and
 //! forking a path copies the map. A source operand therefore either names
-//! an in-flight producer (`Src::Pending`) or falls back to the
-//! architectural register file at issue time — which is correct exactly
-//! because commit writes the register file in program order.
+//! an in-flight producer (`Src::Pending`) or takes its value from the
+//! architectural register file at rename — which is correct exactly
+//! because commit writes the register file in program order. A pending
+//! operand registers on its producer's wakeup list: when the producer
+//! completes, writeback walks that list to clear the operand's pending
+//! bit and, once no operand is pending, puts the consumer on the ready
+//! list ([`sched`]); issue then reads the value from the completed
+//! producer. The operand itself stays `Src::Pending` until the producer
+//! retires and patches it to the value.
 
 use crate::check_stream::CheckEvent;
 use crate::config::{CoreConfig, FuLatencies, MultipathConfig, RasSharing, ReturnPredictor};
@@ -39,7 +45,10 @@ use hydra_mem::{Cache, CacheConfig, CacheStats, HierarchyConfig, MemoryHierarchy
 use hydra_obs::{classify_return_mispredict, CauseHistogram, CpiStack, LostCause};
 use hydra_stats::Histogram;
 use ras_core::MultipathStackPolicy;
+use sched::Sched;
 use std::collections::VecDeque;
+
+mod sched;
 
 /// Cycles without a commit after which the simulator declares itself
 /// wedged (a simulator bug, not a program property).
@@ -324,6 +333,9 @@ pub struct Core {
     fetch_queue: VecDeque<(u64, u32)>,
     ruu: VecDeque<u32>,
     lsq: Lsq,
+    /// The ready and in-flight lists issue and writeback walk instead of
+    /// the RUU (see [`sched`]); derived state, never serialized.
+    sched: Sched,
 
     stats: SimStats,
     /// Always-on CPI-stack accounting: every commit slot the core fails
@@ -426,6 +438,7 @@ impl Core {
             fetch_queue: VecDeque::with_capacity(config.fetch_queue + 1),
             ruu: VecDeque::with_capacity(config.ruu_size + 1),
             lsq: Lsq::new(config.lsq_size),
+            sched: Sched::new(config.ruu_size),
             stats: SimStats {
                 max_live_paths: 1,
                 ..SimStats::default()
@@ -733,6 +746,7 @@ impl Core {
                 let seq = self.slab[hu].seq;
                 let cause = self.slab[hu].squash_cause;
                 self.ruu.pop_front();
+                self.on_drain(head);
                 self.lsq_remove_for(head);
                 if let Some(t) = &mut self.ptrace {
                     t.on_retire(seq, self.cycle);
@@ -964,36 +978,8 @@ impl Core {
     }
 
     // ------------------------------------------------------------------
-    // Writeback and control resolution
+    // Control resolution (called from writeback; see `sched`)
     // ------------------------------------------------------------------
-
-    fn writeback(&mut self) {
-        // Walk oldest-first so an older misprediction squashes younger
-        // control before it resolves. Resolution never adds or removes
-        // RUU entries (squashes only mark flags), so positional
-        // iteration is safe and needs no snapshot of completions.
-        for i in 0..self.ruu.len() {
-            let slot = self.ruu[i];
-            let su = slot as usize;
-            let done = matches!(
-                self.slab[su].state,
-                UopState::Issued { done_at } if done_at <= self.cycle
-            );
-            if !done {
-                continue;
-            }
-            self.slab[su].state = UopState::Done;
-            let seq = self.slab[su].seq;
-            if let Some(t) = &mut self.ptrace {
-                t.on_complete(seq, self.cycle);
-            }
-            let u = &self.slab[su];
-            if u.squashed || !u.is_control() || u.resolved {
-                continue;
-            }
-            self.resolve(slot);
-        }
-    }
 
     fn resolve(&mut self, slot: u32) {
         let su = slot as usize;
@@ -1197,6 +1183,7 @@ impl Core {
             }
         }
         self.scratch_killed = killed;
+        self.sched.drop_squashed(&self.slab);
         hydra_trace::trace_event!(hydra_trace::TraceEvent::Squash {
             cycle: self.cycle,
             hart: self.hart.index() as u64,
@@ -1270,6 +1257,7 @@ impl Core {
                 self.fetch_queue.push_back((ready, slot));
             }
         }
+        self.sched.drop_squashed(&self.slab);
         hydra_trace::trace_event!(hydra_trace::TraceEvent::Squash {
             cycle: self.cycle,
             hart: self.hart.index() as u64,
@@ -1312,219 +1300,6 @@ impl Core {
     }
 
     // ------------------------------------------------------------------
-    // Issue and execution
-    // ------------------------------------------------------------------
-
-    fn ruu_index(&self, seq: u64) -> Option<usize> {
-        self.ruu
-            .binary_search_by_key(&seq, |&slot| self.slab[slot as usize].seq)
-            .ok()
-    }
-
-    fn src_value(&self, src: Src) -> Option<i64> {
-        match src {
-            Src::None => Some(0),
-            Src::Value(v) => Some(v),
-            Src::Pending(seq) => match self.ruu_index(seq) {
-                Some(idx) => {
-                    let p = &self.slab[self.ruu[idx] as usize];
-                    if p.is_done() {
-                        Some(p.result.unwrap_or(0))
-                    } else {
-                        None
-                    }
-                }
-                // Producer already committed: the register file value was
-                // captured into Src::Value at dispatch; Pending producers
-                // cannot commit while a consumer is still waiting unless
-                // the consumer is squashed, in which case any value works.
-                None => Some(0),
-            },
-        }
-    }
-
-    fn issue(&mut self) {
-        let mut slots = self.config.issue_width;
-        // Positional iteration oldest-first: execution never adds or
-        // removes RUU entries, so no sequence snapshot is needed.
-        for i in 0..self.ruu.len() {
-            if slots == 0 {
-                break;
-            }
-            let slot = self.ruu[i];
-            let (s0, s1) = {
-                let u = &self.slab[slot as usize];
-                if u.squashed || u.state != UopState::Waiting {
-                    continue;
-                }
-                (u.srcs[0], u.srcs[1])
-            };
-            let (Some(a), Some(b)) = (self.src_value(s0), self.src_value(s1)) else {
-                continue;
-            };
-            if self.try_execute(slot, a, b) {
-                slots -= 1;
-            }
-        }
-    }
-
-    /// Attempts to execute the micro-op in slab slot `slot` with operand
-    /// values `a`, `b`. Returns false if it must keep waiting (memory
-    /// ordering).
-    fn try_execute(&mut self, slot: u32, a: i64, b: i64) -> bool {
-        let su = slot as usize;
-        let (seq, inst, pc, path) = {
-            let u = &self.slab[su];
-            (u.seq, u.inst, u.pc, u.path)
-        };
-        let lat = &self.config.latencies;
-        let data_words = self.program.data_words();
-
-        let mut result = None;
-        let mut actual_next = None;
-        let mut taken_actual = None;
-        let mut latency = lat.alu;
-        let mut mem_addr = None;
-        let mut store_value = None;
-
-        match inst {
-            Inst::Nop | Inst::Halt => {
-                if matches!(inst, Inst::Halt) {
-                    actual_next = Some(pc);
-                }
-            }
-            Inst::Alu { op, .. } => {
-                result = Some(alu(op, a, b));
-                latency = match op {
-                    hydra_isa::AluOp::Mul => lat.mul,
-                    hydra_isa::AluOp::Div => lat.div,
-                    _ => lat.alu,
-                };
-            }
-            Inst::AluImm { op, imm, .. } => {
-                result = Some(alu(op, a, imm));
-                latency = match op {
-                    hydra_isa::AluOp::Mul => lat.mul,
-                    hydra_isa::AluOp::Div => lat.div,
-                    _ => lat.alu,
-                };
-            }
-            Inst::LoadImm { imm, .. } => result = Some(imm),
-            Inst::Load { offset, .. } => {
-                let ea = effective_address(a, offset, data_words);
-                // Conservative disambiguation: wait until every older
-                // visible store knows its address.
-                match self.load_forward(seq, path, ea) {
-                    LoadOutcome::NotReady => return false,
-                    LoadOutcome::Forwarded(v) => {
-                        result = Some(v);
-                        latency = lat.agen + self.memory.data_access(ea, false);
-                    }
-                    LoadOutcome::FromMemory => {
-                        result = Some(self.mem_data[ea as usize]);
-                        latency = lat.agen + self.memory.data_access(ea, false);
-                    }
-                }
-                hydra_trace::trace_event!(hydra_trace::TraceEvent::CacheAccess {
-                    cycle: self.cycle,
-                    cache: "l1d",
-                    addr: ea,
-                    hit: latency - lat.agen <= self.config.mem.l1_latency,
-                });
-                mem_addr = Some(ea);
-            }
-            Inst::Store { offset, .. } => {
-                // srcs = [value (rs), base]; see dispatch.
-                let ea = effective_address(b, offset, data_words);
-                mem_addr = Some(ea);
-                store_value = Some(a);
-                latency = lat.agen + self.memory.data_access(ea, true);
-                hydra_trace::trace_event!(hydra_trace::TraceEvent::CacheAccess {
-                    cycle: self.cycle,
-                    cache: "l1d",
-                    addr: ea,
-                    hit: latency - lat.agen <= self.config.mem.l1_latency,
-                });
-                let ls = self.slab[su].lsq_slot;
-                if ls != NIL {
-                    let e = &mut self.lsq.entries[ls as usize];
-                    e.addr = Some(ea);
-                    e.value = Some(a);
-                }
-            }
-            Inst::Branch { cond, target, .. } => {
-                let t = branch_taken(cond, a, b);
-                taken_actual = Some(t);
-                actual_next = Some(if t { target } else { pc.next() });
-                latency = lat.branch;
-            }
-            Inst::Jump { target } => {
-                actual_next = Some(target);
-                latency = lat.branch;
-            }
-            Inst::Call { target } => {
-                result = Some(pc.next().word() as i64);
-                actual_next = Some(target);
-                latency = lat.branch;
-            }
-            Inst::CallIndirect { .. } => {
-                result = Some(pc.next().word() as i64);
-                actual_next = Some(Addr::new(a as u64));
-                latency = lat.branch;
-            }
-            Inst::JumpIndirect { .. } => {
-                actual_next = Some(Addr::new(a as u64));
-                latency = lat.branch;
-            }
-            Inst::Return => {
-                actual_next = Some(Addr::new(a as u64));
-                latency = lat.branch;
-            }
-        }
-
-        let u = &mut self.slab[su];
-        u.result = result;
-        u.actual_next_pc = actual_next;
-        u.taken_actual = taken_actual;
-        u.mem_addr = mem_addr;
-        u.store_value = store_value;
-        u.state = UopState::Issued {
-            done_at: self.cycle + latency.max(1),
-        };
-        if let Some(t) = &mut self.ptrace {
-            t.on_issue(seq, self.cycle);
-        }
-        true
-    }
-
-    fn load_forward(&self, seq: u64, path: PathId, ea: u64) -> LoadOutcome {
-        let mut forwarded = None;
-        // Walk the LSQ in queue (= program) order through the links.
-        let mut s = self.lsq.head;
-        while s != NIL {
-            let e = &self.lsq.entries[s as usize];
-            s = self.lsq.next[s as usize];
-            if e.seq >= seq || !e.is_store || e.squashed {
-                continue;
-            }
-            if !self.paths.visible(e.path, e.seq, path) {
-                continue;
-            }
-            match e.addr {
-                None => return LoadOutcome::NotReady,
-                Some(addr) if addr == ea => {
-                    forwarded = Some(e.value.expect("executed store has value"));
-                }
-                Some(_) => {}
-            }
-        }
-        match forwarded {
-            Some(v) => LoadOutcome::Forwarded(v),
-            None => LoadOutcome::FromMemory,
-        }
-    }
-
-    // ------------------------------------------------------------------
     // Dispatch
     // ------------------------------------------------------------------
 
@@ -1564,6 +1339,7 @@ impl Core {
                 self.slab[slot as usize].lsq_slot = ls;
             }
             self.ruu.push_back(slot);
+            self.on_dispatch(slot);
             slots -= 1;
         }
     }
@@ -1604,6 +1380,9 @@ impl Core {
                         self.slab[pu].consumers = consumers;
                     }
                     self.slab[pu].consumers.push((consumer, i));
+                    if !self.slab[pu].is_done() {
+                        self.slab[consumer as usize].pending_mask |= 1 << i;
+                    }
                     Src::Pending(e.seq)
                 }
                 None => Src::Value(self.regfile[reg.index() as usize]),
@@ -1874,12 +1653,6 @@ impl Core {
             },
         }
     }
-}
-
-enum LoadOutcome {
-    NotReady,
-    Forwarded(i64),
-    FromMemory,
 }
 
 // --- snapshot codec -------------------------------------------------------
@@ -2424,6 +2197,8 @@ fn decode_uop(r: &mut SnapReader, program: &Program, ras: &RasUnit) -> Result<Uo
         lsq_slot,
         pop_flags,
         squash_cause,
+        dispatched: false,
+        pending_mask: 0,
     })
 }
 
@@ -2988,6 +2763,7 @@ impl Core {
             self.ruu.push_back(slot);
         }
         self.lsq = decode_lsq(r, self.config.lsq_size)?;
+        self.rebuild_sched();
         Ok(())
     }
 
@@ -3496,6 +3272,63 @@ mod tests {
         assert!(core.is_halted());
         assert_eq!(s.committed, 1);
         assert!(core.cycle() > 0);
+    }
+
+    /// The ready and in-flight lists stay equal to what the full-RUU
+    /// scans they replaced would select, every cycle, on the baseline
+    /// machine, a 4-path per-path-stack machine and a 2-hart partitioned
+    /// system; a core resumed from a mid-flight snapshot rebuilds the
+    /// same lists as the straight-through one.
+    #[test]
+    fn scheduler_lists_match_the_ruu_scan_oracle() {
+        use crate::config::RasSharing;
+        use crate::System;
+        use hydra_workloads::{Workload, WorkloadSpec};
+        use ras_core::MultipathStackPolicy;
+
+        const CYCLES: u64 = 20_000;
+        const SNAP_AT: u64 = 7_777;
+        let w = |name: &str| {
+            Workload::generate(&WorkloadSpec::by_name(name).expect("known"), 12345)
+                .expect("generates")
+        };
+        let (gcc, li) = (w("gcc"), w("li"));
+        for config in [
+            CoreConfig::baseline(),
+            CoreConfig::multipath(4, MultipathStackPolicy::PerPath),
+        ] {
+            for program in [gcc.program(), li.program()] {
+                let mut core = Core::new(config, program);
+                while core.cycle() < CYCLES && !core.is_halted() {
+                    core.step();
+                    core.assert_sched_matches_scan();
+                    if core.cycle() == SNAP_AT {
+                        let resumed = Core::resume(&core.save_snapshot(), program).unwrap();
+                        assert!(!resumed.ruu.is_empty(), "snapshot is mid-flight");
+                        assert_eq!(resumed.sched_normalized(), core.sched_normalized());
+                    }
+                }
+                assert!(core.stats().committed > 1_000);
+            }
+        }
+
+        let config = CoreConfig::builder()
+            .harts(2)
+            .ras_sharing(RasSharing::Partitioned)
+            .build();
+        let programs = [gcc.program(), li.program()];
+        let mut sys = System::new(1, config, &programs);
+        for cycle in 1..=CYCLES {
+            sys.step_cycle();
+            sys.engines().for_each(Core::assert_sched_matches_scan);
+            if cycle == SNAP_AT {
+                let resumed = System::resume(&sys.save_snapshot(), &programs).unwrap();
+                for (a, b) in resumed.engines().zip(sys.engines()) {
+                    assert!(!a.ruu.is_empty(), "snapshot is mid-flight");
+                    assert_eq!(a.sched_normalized(), b.sched_normalized());
+                }
+            }
+        }
     }
 }
 

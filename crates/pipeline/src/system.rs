@@ -202,6 +202,12 @@ impl System {
         }
     }
 
+    /// Every hart's engine, in hart-index order.
+    #[cfg(test)]
+    pub(crate) fn engines(&self) -> impl Iterator<Item = &Core> {
+        self.cores.iter().flat_map(|c| c.engines.iter())
+    }
+
     /// Whether every hart has committed a `halt`.
     pub fn is_halted(&self) -> bool {
         self.cores

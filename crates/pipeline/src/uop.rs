@@ -84,11 +84,15 @@ pub(crate) struct Uop {
     /// Control resolution already handled (guards double resolution).
     pub resolved: bool,
     /// Wakeup list: `(consumer slab slot, source index)` pairs registered
-    /// at rename time. When this producer retires, only these entries are
-    /// patched — no window-wide broadcast scan. Entries are validated at
-    /// patch time (`srcs[i] == Pending(seq)`), so stale registrations
-    /// from recycled slots are harmless. The buffer's capacity is kept
-    /// across slot reuse, so steady state allocates nothing.
+    /// at rename time. It is walked twice, never with a window-wide
+    /// broadcast scan: at writeback, when this producer completes, to
+    /// clear each consumer's pending bit and move consumers whose last
+    /// producer this was onto the ready list; and at retire, to patch
+    /// each consumer's operand to the concrete value. Entries are
+    /// validated on both walks (`srcs[i] == Pending(seq)`), so stale
+    /// registrations from recycled slots are harmless. The buffer's
+    /// capacity is kept across slot reuse, so steady state allocates
+    /// nothing.
     pub consumers: Vec<(u32, u8)>,
     /// This micro-op's LSQ slot ([`NIL`] when it holds none), making
     /// commit- and squash-time LSQ removal O(1) instead of a retain scan.
@@ -100,6 +104,13 @@ pub(crate) struct Uop {
     /// CPI-stack cause this micro-op's commit slot is charged to if it
     /// drains squashed.
     pub squash_cause: hydra_obs::LostCause,
+    /// Entered the RUU (derived scheduler state; never serialized).
+    pub dispatched: bool,
+    /// Bit `i` set while source `i`'s producer has not completed
+    /// (derived scheduler state; never serialized). Set at rename only
+    /// when the producer is not yet `Done`; cleared idempotently by the
+    /// producer's writeback-time wakeup walk.
+    pub pending_mask: u8,
 }
 
 impl Uop {
@@ -130,6 +141,8 @@ impl Uop {
             lsq_slot: NIL,
             pop_flags: 0,
             squash_cause: hydra_obs::LostCause::Other,
+            dispatched: false,
+            pending_mask: 0,
         }
     }
 

@@ -8,17 +8,31 @@
 //! never released. This test pins the contract those designs add up to:
 //! once warm, `Core::run` performs **zero** heap allocations per cycle.
 //!
-//! A counting `#[global_allocator]` observes the whole process; the
-//! measurement window is single-threaded, so any nonzero delta is an
-//! allocation on the simulated path.
+//! A counting `#[global_allocator]` observes the whole process, so the
+//! tests hold one lock for their whole body: run in parallel, one test's
+//! construction and warm-up would allocate inside another's measurement
+//! window. With the lock held, any nonzero delta is an allocation on the
+//! simulated path.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use hydra_pipeline::{Core, CoreConfig, RasSharing};
 use hydra_workloads::{Workload, WorkloadSpec};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// Serializes the tests in this file (see the module docs).
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes the file-wide lock. It guards no data, so a test that panicked
+/// while holding it left nothing half-updated: recover the guard.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 struct CountingAlloc;
 
@@ -55,6 +69,7 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
 
 #[test]
 fn steady_state_cycles_allocate_nothing() {
+    let _serial = serial();
     // gcc is the suite's most call-heavy workload: deep recursion plus
     // frequent mispredictions exercise fetch, rename, wakeup, LSQ
     // insert/remove, RAS checkpoint/restore, and full squash recovery.
@@ -77,6 +92,7 @@ fn steady_state_cycles_allocate_nothing() {
 
 #[test]
 fn two_hart_system_steady_state_cycles_allocate_nothing() {
+    let _serial = serial();
     // The multi-instance surface must not reintroduce allocations: the
     // System swaps the core-shared RAS unit and the system-shared memory
     // hierarchy in and out of each engine by `mem::swap` — pointer moves,
@@ -111,6 +127,7 @@ fn two_hart_system_steady_state_cycles_allocate_nothing() {
 
 #[test]
 fn warmup_allocations_plateau() {
+    let _serial = serial();
     // The same window re-run on a fresh core must allocate during
     // warm-up (building the plateau) — otherwise the zero above would be
     // vacuous, e.g. a broken counter.
