@@ -360,10 +360,11 @@ pub struct Core {
     check_stream: Option<Vec<CheckEvent>>,
     occupancy: Occupancy,
 
+    /// Per-path membership marks of the paths the current squash kills
+    /// (indexed by path id, all `false` between squashes).
+    killed_mark: Vec<bool>,
     // Persistent scratch buffers for squash bookkeeping, taken with
     // `mem::take` while in use so their capacity survives across calls.
-    scratch_doomed: Vec<PathId>,
-    scratch_subtree: Vec<PathId>,
     scratch_killed: Vec<PathId>,
     scratch_released: Vec<CkptHandle>,
     scratch_seqs: Vec<u64>,
@@ -452,8 +453,9 @@ impl Core {
             #[cfg(feature = "commit-stream")]
             check_stream: None,
             occupancy: Occupancy::new(&config),
-            scratch_doomed: Vec::new(),
-            scratch_subtree: Vec::new(),
+            // Grows with the path table at squash time; a single-path
+            // core never outgrows this.
+            killed_mark: vec![false; max_paths],
             scratch_killed: Vec::new(),
             scratch_released: Vec::new(),
             scratch_seqs: Vec::new(),
@@ -921,6 +923,15 @@ impl Core {
                 }
                 self.hybrid.train(pc, &pred, taken);
                 self.confidence.update(pc, correct);
+                // A fork resolved against its path retired the path (the
+                // forked arm took over). Everything older on the path has
+                // now committed and everything younger was squashed, so
+                // nothing can revive it: harvest its private stack.
+                let u = &self.slab[su];
+                if u.forked_child.is_some() && actual_next_pc != Some(pred_next_pc) {
+                    debug_assert!(!self.paths.is_alive(u.path));
+                    self.ras.on_path_death(u.path);
+                }
             }
             ControlKind::Call { .. } | ControlKind::IndirectCall => {
                 self.stats.calls += 1;
@@ -1018,11 +1029,10 @@ impl Core {
         if let Some(child) = forked_child {
             if correct {
                 // The fetched (predicted) arm wins: the child subtree dies.
-                let mut subtree = std::mem::take(&mut self.scratch_subtree);
-                subtree.clear();
-                self.paths.kill_subtree_into(child, &mut subtree);
-                self.squash_paths(&subtree, LostCause::BranchMispredict);
-                self.scratch_subtree = subtree;
+                let mut killed = std::mem::take(&mut self.scratch_killed);
+                killed.clear();
+                self.paths.kill_subtree_into(child, &mut killed);
+                self.squash_killed(None, killed, LostCause::BranchMispredict);
             } else {
                 // The forked arm wins: squash the parent's continuation
                 // (strictly younger than the branch; the child forked at
@@ -1094,120 +1104,43 @@ impl Core {
         // `min_seq` — including paths that already stopped fetching
         // (retired fork parents): their in-flight micro-ops are part of
         // the squashed continuation too.
-        let mut doomed = std::mem::take(&mut self.scratch_doomed);
-        doomed.clear();
-        for i in 0..self.paths.path_count() {
-            let q = PathId::from_index(i);
-            if q != base && self.paths.on_lineage(q, u64::MAX, base, min_seq) {
-                doomed.push(q);
-            }
-        }
         let mut killed = std::mem::take(&mut self.scratch_killed);
         killed.clear();
-        let mut subtree = std::mem::take(&mut self.scratch_subtree);
-        for &q in &doomed {
-            subtree.clear();
-            self.paths.kill_subtree_into(q, &mut subtree);
-            for &k in &subtree {
-                if !killed.contains(&k) {
-                    killed.push(k);
-                }
-            }
-        }
-        self.scratch_subtree = subtree;
-        self.scratch_doomed = doomed;
+        self.paths.kill_lineage_into(base, min_seq, &mut killed);
+        self.squash_killed(Some((base, min_seq)), killed, cause);
+    }
+
+    /// The squash sweep: harvests the stacks of the `killed` paths, then
+    /// squashes every RUU, LSQ and fetch-queue micro-op on a killed path
+    /// or, given `lineage = (base, min_seq)`, on `base` after `min_seq`.
+    /// A micro-op on any other path is on the lineage exactly when its
+    /// path was killed (see [`PathTable::children_after`]), so each
+    /// entry's test is O(1). Squashed RUU entries drain through commit
+    /// later with their lost slot charged to `cause`; `killed` returns to
+    /// the scratch buffer.
+    fn squash_killed(
+        &mut self,
+        lineage: Option<(PathId, u64)>,
+        killed: Vec<PathId>,
+        cause: LostCause,
+    ) {
         for &q in &killed {
             self.ras.on_path_death(q);
         }
+        let mut mark = std::mem::take(&mut self.killed_mark);
+        if mark.len() < self.paths.path_count() {
+            mark.resize(self.paths.path_count(), false);
+        }
+        for &q in &killed {
+            mark[q.index()] = true;
+        }
+        let trace_path = lineage.map_or(killed.first().copied(), |(base, _)| Some(base));
+        // Without a lineage the `seq > u64::MAX` clause never holds.
+        let (base, min_seq) = lineage.unwrap_or((PathId::ROOT, u64::MAX));
+        let doomed = |path: PathId, seq: u64| (path == base && seq > min_seq) || mark[path.index()];
+        #[cfg(test)]
+        let expected = self.squash_scan_oracle(lineage, &killed);
 
-        let mut released = std::mem::take(&mut self.scratch_released);
-        let mut squashed_seqs = std::mem::take(&mut self.scratch_seqs);
-        released.clear();
-        squashed_seqs.clear();
-        for i in 0..self.ruu.len() {
-            let su = self.ruu[i] as usize;
-            let (upath, useq, usq) = {
-                let u = &self.slab[su];
-                (u.path, u.seq, u.squashed)
-            };
-            if !usq
-                && (self.paths.on_lineage(upath, useq, base, min_seq) || killed.contains(&upath))
-            {
-                let handle = {
-                    let u = &mut self.slab[su];
-                    u.squashed = true;
-                    u.squash_cause = cause;
-                    u.ras_ckpt.take()
-                };
-                squashed_seqs.push(useq);
-                self.stats.squashed_uops += 1;
-                if let Some(handle) = handle {
-                    self.emit_check(CheckEvent::RasRelease { id: useq });
-                    released.push(handle);
-                }
-            }
-        }
-        {
-            let paths = &self.paths;
-            let lsq = &mut self.lsq;
-            let mut s = lsq.head;
-            while s != NIL {
-                let e = &mut lsq.entries[s as usize];
-                if paths.on_lineage(e.path, e.seq, base, min_seq) || killed.contains(&e.path) {
-                    e.squashed = true;
-                }
-                s = lsq.next[s as usize];
-            }
-        }
-        // Flush matching fetch-queue entries entirely (front-end flush),
-        // rotating kept entries back so their order is preserved.
-        for _ in 0..self.fetch_queue.len() {
-            let (ready, slot) = self.fetch_queue.pop_front().expect("counted");
-            let su = slot as usize;
-            let (upath, useq, usq) = {
-                let u = &self.slab[su];
-                (u.path, u.seq, u.squashed)
-            };
-            if !usq
-                && (self.paths.on_lineage(upath, useq, base, min_seq) || killed.contains(&upath))
-            {
-                squashed_seqs.push(useq);
-                self.stats.squashed_uops += 1;
-                if let Some(handle) = self.slab[su].ras_ckpt.take() {
-                    self.emit_check(CheckEvent::RasRelease { id: useq });
-                    released.push(handle);
-                }
-                self.free_slot(slot);
-            } else {
-                self.fetch_queue.push_back((ready, slot));
-            }
-        }
-        self.scratch_killed = killed;
-        self.sched.drop_squashed(&self.slab);
-        hydra_trace::trace_event!(hydra_trace::TraceEvent::Squash {
-            cycle: self.cycle,
-            hart: self.hart.index() as u64,
-            path: base.index() as u64,
-            uops: squashed_seqs.len() as u64,
-        });
-        for handle in released.drain(..) {
-            self.ras.release(handle);
-        }
-        self.scratch_released = released;
-        if let Some(t) = &mut self.ptrace {
-            for &seq in &squashed_seqs {
-                t.on_squash(seq, self.cycle);
-            }
-        }
-        self.scratch_seqs = squashed_seqs;
-    }
-
-    /// Squashes every micro-op belonging to the given (killed) paths,
-    /// charging their eventual drain slots to `cause`.
-    fn squash_paths(&mut self, killed: &[PathId], cause: LostCause) {
-        for &q in killed {
-            self.ras.on_path_death(q);
-        }
         let mut released = std::mem::take(&mut self.scratch_released);
         let mut squashed_seqs = std::mem::take(&mut self.scratch_seqs);
         released.clear();
@@ -1216,7 +1149,7 @@ impl Core {
             let su = self.ruu[i] as usize;
             let (useq, handle) = {
                 let u = &mut self.slab[su];
-                if u.squashed || !killed.contains(&u.path) {
+                if u.squashed || !doomed(u.path, u.seq) {
                     continue;
                 }
                 u.squashed = true;
@@ -1235,17 +1168,19 @@ impl Core {
             let mut s = lsq.head;
             while s != NIL {
                 let e = &mut lsq.entries[s as usize];
-                if killed.contains(&e.path) {
+                if doomed(e.path, e.seq) {
                     e.squashed = true;
                 }
                 s = lsq.next[s as usize];
             }
         }
+        // Flush matching fetch-queue entries entirely (front-end flush),
+        // rotating kept entries back so their order is preserved.
         for _ in 0..self.fetch_queue.len() {
             let (ready, slot) = self.fetch_queue.pop_front().expect("counted");
             let su = slot as usize;
-            if killed.contains(&self.slab[su].path) {
-                let useq = self.slab[su].seq;
+            let (upath, useq) = (self.slab[su].path, self.slab[su].seq);
+            if doomed(upath, useq) {
                 squashed_seqs.push(useq);
                 self.stats.squashed_uops += 1;
                 if let Some(handle) = self.slab[su].ras_ckpt.take() {
@@ -1257,11 +1192,20 @@ impl Core {
                 self.fetch_queue.push_back((ready, slot));
             }
         }
+        #[cfg(test)]
+        if let Some(expected) = expected {
+            self.check_squash(expected, &squashed_seqs);
+        }
+        for &q in &killed {
+            mark[q.index()] = false;
+        }
+        self.killed_mark = mark;
+        self.scratch_killed = killed;
         self.sched.drop_squashed(&self.slab);
         hydra_trace::trace_event!(hydra_trace::TraceEvent::Squash {
             cycle: self.cycle,
             hart: self.hart.index() as u64,
-            path: killed.first().map_or(0, |p| p.index() as u64),
+            path: trace_path.map_or(0, |p| p.index() as u64),
             uops: squashed_seqs.len() as u64,
         });
         for handle in released.drain(..) {
@@ -3327,6 +3271,165 @@ mod tests {
                     assert!(!a.ruu.is_empty(), "snapshot is mid-flight");
                     assert_eq!(a.sched_normalized(), b.sched_normalized());
                 }
+            }
+        }
+    }
+}
+
+/// The squash oracle: on a thread that turns it on, every squash is
+/// checked against the all-paths parent-chain scans that the child-link
+/// walks replaced.
+#[cfg(test)]
+mod squash_oracle {
+    use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Whether squashes on this thread are checked. Off by default:
+        /// the scans cost O(paths ever forked × chain depth) per squash.
+        static ON: Cell<bool> = const { Cell::new(false) };
+        /// Squashes checked, and paths they killed, on this thread.
+        static CHECKED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    }
+
+    /// What the old scans select, taken before the sweep marks anything.
+    pub(super) struct Expected {
+        /// Sequence numbers of the RUU and then fetch-queue micro-ops the
+        /// sweep must squash, in sweep order.
+        seqs: Vec<u64>,
+        /// Each not-yet-squashed LSQ entry, and whether it must be
+        /// squashed.
+        lsq: Vec<(u32, bool)>,
+    }
+
+    impl Core {
+        /// The old selection for a squash with `lineage` that killed
+        /// `killed`, or `None` when the oracle is off. Asserts that the
+        /// killed paths are exactly what the all-paths scan selects.
+        pub(super) fn squash_scan_oracle(
+            &self,
+            lineage: Option<(PathId, u64)>,
+            killed: &[PathId],
+        ) -> Option<Expected> {
+            if !ON.with(Cell::get) {
+                return None;
+            }
+            let paths = &self.paths;
+            let all = (0..paths.path_count()).map(PathId::from_index);
+            let scan: Vec<PathId> = match lineage {
+                Some((base, min_seq)) => all
+                    .filter(|&q| q != base && paths.on_lineage(q, u64::MAX, base, min_seq))
+                    .collect(),
+                None => all.filter(|&q| paths.in_subtree(q, killed[0])).collect(),
+            };
+            let mut sorted = killed.to_vec();
+            sorted.sort_unstable();
+            assert_eq!(sorted, scan, "killed paths, cycle {}", self.cycle);
+            let doomed = |path: PathId, seq: u64| {
+                scan.contains(&path)
+                    || lineage.is_some_and(|(b, m)| paths.on_lineage(path, seq, b, m))
+            };
+            let mut seqs = Vec::new();
+            for &slot in &self.ruu {
+                let u = &self.slab[slot as usize];
+                if !u.squashed && doomed(u.path, u.seq) {
+                    seqs.push(u.seq);
+                }
+            }
+            for &(_, slot) in &self.fetch_queue {
+                let u = &self.slab[slot as usize];
+                if doomed(u.path, u.seq) {
+                    seqs.push(u.seq);
+                }
+            }
+            let mut lsq = Vec::new();
+            let mut s = self.lsq.head;
+            while s != NIL {
+                let e = &self.lsq.entries[s as usize];
+                if !e.squashed {
+                    lsq.push((s, doomed(e.path, e.seq)));
+                }
+                s = self.lsq.next[s as usize];
+            }
+            CHECKED.with(|c| {
+                let (n, k) = c.get();
+                c.set((n + 1, k + scan.len() as u64));
+            });
+            Some(Expected { seqs, lsq })
+        }
+
+        /// Asserts that the sweep squashed exactly the oracle's selection.
+        pub(super) fn check_squash(&self, expected: Expected, squashed_seqs: &[u64]) {
+            assert_eq!(
+                squashed_seqs, expected.seqs,
+                "squashed RUU and fetch-queue uops, cycle {}",
+                self.cycle
+            );
+            for (s, doomed) in expected.lsq {
+                assert_eq!(
+                    self.lsq.entries[s as usize].squashed, doomed,
+                    "LSQ entry {s}, cycle {}",
+                    self.cycle
+                );
+            }
+        }
+    }
+
+    /// Every squash of a multipath core selects the same RUU, LSQ and
+    /// fetch-queue entries and kills the same paths as the all-paths
+    /// scans, on per-path and unified stacks, for gcc and li; a core
+    /// resumed from a mid-flight snapshot rebuilds the same child links
+    /// and then runs to the same state under the oracle.
+    #[test]
+    fn squashes_match_the_all_paths_scan_oracle() {
+        use hydra_workloads::{Workload, WorkloadSpec};
+        use ras_core::{MultipathStackPolicy, RepairPolicy};
+
+        const CYCLES: u64 = 20_000;
+        const SNAP_AT: u64 = 7_777;
+        ON.with(|on| on.set(true));
+        let w = |name: &str| {
+            Workload::generate(&WorkloadSpec::by_name(name).expect("known"), 12345)
+                .expect("generates")
+        };
+        let (gcc, li) = (w("gcc"), w("li"));
+        let unified = MultipathStackPolicy::Unified {
+            repair: RepairPolicy::TosPointerAndContents,
+        };
+        for config in [
+            CoreConfig::multipath(4, MultipathStackPolicy::PerPath),
+            CoreConfig::multipath(2, unified),
+        ] {
+            for program in [gcc.program(), li.program()] {
+                let before = CHECKED.with(Cell::get);
+                let mut core = Core::new(config, program);
+                let mut resumed = None;
+                while core.cycle() < CYCLES && !core.is_halted() {
+                    core.step();
+                    // Snapshot once past SNAP_AT, at the first cycle with
+                    // micro-ops in flight and a fork outstanding.
+                    if resumed.is_none()
+                        && core.cycle() >= SNAP_AT
+                        && !core.ruu.is_empty()
+                        && core.paths.live_count() > 1
+                    {
+                        let r = Core::resume(&core.save_snapshot(), program).unwrap();
+                        assert_eq!(r.paths, core.paths, "child links rebuilt");
+                        resumed = Some(r);
+                    }
+                }
+                let (squashes, kills) = CHECKED.with(Cell::get);
+                let (squashes, kills) = (squashes - before.0, kills - before.1);
+                assert!(squashes > 200, "oracle saw {squashes} squashes");
+                assert!(kills > 150, "oracle saw {kills} killed paths");
+                assert!(core.stats().committed > 1_000);
+
+                let mut r = resumed.expect("window reaches the snapshot");
+                while r.cycle() < core.cycle() && !r.is_halted() {
+                    r.step();
+                }
+                assert_eq!(r.stats(), core.stats());
+                assert_eq!(r.paths, core.paths);
             }
         }
     }

@@ -10,6 +10,28 @@
 //! * **visibility** — can path *P* observe micro-op *U*'s result? (*U*
 //!   must be on *P* itself, or on an ancestor *before* the fork point
 //!   leading toward *P*.)
+//!
+//! # Cost contract
+//!
+//! Path identifiers are never recycled, so the table holds every path a
+//! simulation ever forked; nothing on the squash path may scan it. Each
+//! path carries intrusive child links (its newest child, and its next
+//! older sibling), so:
+//!
+//! * a kill ([`PathTable::kill_subtree_into`],
+//!   [`PathTable::kill_lineage_into`]) costs O(paths in the killed
+//!   subtree), and a core's squash costs O(window + killed subtree);
+//! * [`PathTable::children_after`] stops at the first child forked at or
+//!   before the squash point, because forks on a path are made in
+//!   increasing sequence order.
+//!
+//! [`PathTable::on_lineage`] and [`PathTable::in_subtree`] answer the
+//! same questions by walking parent chains. They are the reference
+//! predicates the tests check the links against, not hot-path code.
+//!
+//! A snapshot carries no links: it stores each path's parent, fork
+//! sequence and alive flag, and restoring re-derives the links from the
+//! parent column.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -73,11 +95,15 @@ impl fmt::Display for HartId {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PathInfo {
     parent: Option<PathId>,
     fork_seq: u64,
     alive: bool,
+    /// The newest child: the last path forked from this one.
+    first_child: Option<PathId>,
+    /// The next older child of `parent` (forked before this one).
+    next_sibling: Option<PathId>,
 }
 
 /// The path tree: creation, death, lineage and visibility queries.
@@ -98,7 +124,7 @@ struct PathInfo {
 /// assert!(!t.is_alive(child));
 /// assert_eq!(t.live_count(), 1);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathTable {
     paths: Vec<PathInfo>,
     max_live: usize,
@@ -116,15 +142,13 @@ impl PathTable {
     /// Panics if `max_live` is zero.
     pub fn new(max_live: usize) -> Self {
         assert!(max_live > 0, "need at least one live path");
-        PathTable {
-            paths: vec![PathInfo {
-                parent: None,
-                fork_seq: 0,
-                alive: true,
-            }],
+        let mut table = PathTable {
+            paths: Vec::new(),
             max_live,
             alive_ids: vec![PathId::ROOT],
-        }
+        };
+        table.push_path(None, 0, true);
+        table
     }
 
     /// Number of currently live paths.
@@ -143,12 +167,6 @@ impl PathTable {
     }
 
     /// Live paths in creation order.
-    pub fn alive_paths(&self) -> Vec<PathId> {
-        self.alive_ids.clone()
-    }
-
-    /// Live paths in creation order, without allocating (the hot-path
-    /// form of [`PathTable::alive_paths`]).
     pub fn alive_ids(&self) -> &[PathId] {
         &self.alive_ids
     }
@@ -172,21 +190,42 @@ impl PathTable {
 
     /// Forks a child of `parent` at branch sequence `seq`. Returns `None`
     /// when all path contexts are in use or the parent is dead.
+    ///
+    /// Forks from one parent must come in increasing `seq` order, as
+    /// fetch makes them; [`PathTable::children_after`] relies on it.
     pub fn fork(&mut self, parent: PathId, seq: u64) -> Option<PathId> {
         if !self.is_alive(parent) || self.live_count() >= self.max_live {
             return None;
         }
         let id = PathId(self.paths.len() as u32);
-        self.paths.push(PathInfo {
-            parent: Some(parent),
-            fork_seq: seq,
-            alive: true,
-        });
+        let ordered = self.push_path(Some(parent), seq, true);
+        debug_assert!(ordered, "fork from {parent} at seq {seq} is out of order");
         self.alive_ids.push(id); // new ids are largest: order preserved
         Some(id)
     }
 
-    /// Whether `descendant` is `ancestor` or transitively forked from it.
+    /// Appends a path row and links it in as its parent's newest child.
+    /// Returns `false` when `fork_seq` is not above the fork sequence of
+    /// the parent's previous newest child (the row is pushed anyway).
+    fn push_path(&mut self, parent: Option<PathId>, fork_seq: u64, alive: bool) -> bool {
+        let id = PathId(self.paths.len() as u32);
+        let mut next_sibling = None;
+        if let Some(p) = parent {
+            next_sibling = self.paths[p.index()].first_child.replace(id);
+        }
+        self.paths.push(PathInfo {
+            parent,
+            fork_seq,
+            alive,
+            first_child: None,
+            next_sibling,
+        });
+        next_sibling.is_none_or(|s| self.fork_seq(s) < fork_seq)
+    }
+
+    /// Whether `descendant` is `ancestor` or transitively forked from it
+    /// (a parent-chain walk: the reference predicate for the subtree
+    /// walks below).
     pub fn in_subtree(&self, descendant: PathId, ancestor: PathId) -> bool {
         let mut cur = Some(descendant);
         while let Some(p) = cur {
@@ -196,6 +235,20 @@ impl PathTable {
             cur = self.parent(p);
         }
         false
+    }
+
+    /// The children of `base` forked strictly after `min_seq`, newest
+    /// first. Together with their subtrees these are exactly the paths
+    /// other than `base` on the lineage of `(base, min_seq)` (see
+    /// [`PathTable::on_lineage`]). Costs O(children yielded): the walk
+    /// stops at the first child forked at or before `min_seq`.
+    pub fn children_after(&self, base: PathId, min_seq: u64) -> impl Iterator<Item = PathId> + '_ {
+        let mut next = self.paths[base.index()].first_child;
+        std::iter::from_fn(move || {
+            let child = next.filter(|c| self.fork_seq(*c) > min_seq)?;
+            next = self.paths[child.index()].next_sibling;
+            Some(child)
+        })
     }
 
     /// Kills `root` and every path forked from it (transitively).
@@ -209,23 +262,37 @@ impl PathTable {
     }
 
     /// [`PathTable::kill_subtree`] appending into a caller-provided
-    /// buffer instead of allocating (the hot-path form).
+    /// buffer instead of allocating (the hot-path form). Walks the child
+    /// links, so it costs O(subtree size).
     pub fn kill_subtree_into(&mut self, root: PathId, out: &mut Vec<PathId>) {
-        for i in 0..self.paths.len() {
-            let p = PathId(i as u32);
-            if self.in_subtree(p, root) {
-                out.push(p);
-                if self.paths[i].alive {
-                    self.paths[i].alive = false;
-                    self.alive_ids_remove(p);
-                }
-            }
-        }
+        let start = out.len();
+        out.push(root);
+        self.kill_worklist(out, start);
     }
 
-    /// Every path ever created, in creation order.
-    pub fn all_paths(&self) -> Vec<PathId> {
-        (0..self.paths.len() as u32).map(PathId).collect()
+    /// Kills the lineage of `(base, min_seq)` other than `base` itself:
+    /// the subtree of every child in [`PathTable::children_after`].
+    /// Appends every member, dead ones included, to `out`. Costs
+    /// O(killed subtree).
+    pub fn kill_lineage_into(&mut self, base: PathId, min_seq: u64, out: &mut Vec<PathId>) {
+        let start = out.len();
+        out.extend(self.children_after(base, min_seq));
+        self.kill_worklist(out, start);
+    }
+
+    /// Treats `out[next..]` as a breadth-first worklist of subtree roots:
+    /// kills each entry and appends its children until none are left.
+    /// Sibling subtrees are disjoint, so nothing is visited twice.
+    fn kill_worklist(&mut self, out: &mut Vec<PathId>, mut next: usize) {
+        while let Some(&p) = out.get(next) {
+            next += 1;
+            self.retire_path(p);
+            let mut child = self.paths[p.index()].first_child;
+            while let Some(c) = child {
+                out.push(c);
+                child = self.paths[c.index()].next_sibling;
+            }
+        }
     }
 
     /// Marks a single path dead without touching its descendants (used
@@ -303,10 +370,13 @@ impl PathTable {
 
     /// Rebuilds a table from [`PathTable::snapshot_rows`] output.
     /// Returns `None` when the rows are inconsistent: no root, a root
-    /// with a parent, a parent reference that is not an earlier path, or
+    /// with a parent, a parent reference that is not an earlier path, a
+    /// fork sequence not above that of the parent's previous child, or
     /// more live paths than `max_live` allows. The live list is
     /// reconstructed from the alive flags — it is always sorted by id,
     /// which is exactly the order the incremental maintenance preserves.
+    /// The child links are re-derived from the parent column in id
+    /// order, which is the order the forks made them.
     pub(crate) fn from_snapshot_rows(
         rows: Vec<(Option<PathId>, u64, bool)>,
         max_live: usize,
@@ -317,8 +387,11 @@ impl PathTable {
         if rows[0].0.is_some() {
             return None;
         }
-        let mut paths = Vec::with_capacity(rows.len());
-        let mut alive_ids = Vec::new();
+        let mut table = PathTable {
+            paths: Vec::with_capacity(rows.len()),
+            max_live,
+            alive_ids: Vec::new(),
+        };
         for (i, (parent, fork_seq, alive)) in rows.into_iter().enumerate() {
             match parent {
                 Some(p) if p.index() >= i => return None,
@@ -326,22 +399,16 @@ impl PathTable {
                 _ => {}
             }
             if alive {
-                alive_ids.push(PathId(i as u32));
+                table.alive_ids.push(PathId(i as u32));
             }
-            paths.push(PathInfo {
-                parent,
-                fork_seq,
-                alive,
-            });
+            if !table.push_path(parent, fork_seq, alive) {
+                return None;
+            }
         }
-        if alive_ids.len() > max_live {
+        if table.alive_ids.len() > max_live {
             return None;
         }
-        Some(PathTable {
-            paths,
-            max_live,
-            alive_ids,
-        })
+        Some(table)
     }
 
     /// Whether a micro-op at `(uop_path, uop_seq)` is visible to `path`.
@@ -376,7 +443,7 @@ mod tests {
         assert!(t.is_alive(PathId::ROOT));
         assert_eq!(t.live_count(), 1);
         assert_eq!(t.parent(PathId::ROOT), None);
-        assert_eq!(t.alive_paths(), vec![PathId::ROOT]);
+        assert_eq!(t.alive_ids(), [PathId::ROOT]);
     }
 
     #[test]
@@ -463,6 +530,59 @@ mod tests {
         assert!(!t.visible(b, 1, a));
         // Root doesn't see children.
         assert!(!t.visible(a, 1, PathId::ROOT));
+    }
+
+    #[test]
+    fn children_after_is_newest_first_and_stops_at_the_squash_point() {
+        let mut t = PathTable::new(8);
+        let a = t.fork(PathId::ROOT, 10).unwrap();
+        let b = t.fork(PathId::ROOT, 20).unwrap();
+        let c = t.fork(PathId::ROOT, 30).unwrap();
+        let _grandchild = t.fork(b, 25).unwrap();
+        let after = |s| t.children_after(PathId::ROOT, s).collect::<Vec<_>>();
+        assert_eq!(after(0), [c, b, a]);
+        assert_eq!(
+            after(20),
+            [c],
+            "the child forked at the squash point survives"
+        );
+        assert_eq!(after(30), []);
+    }
+
+    #[test]
+    fn kill_lineage_takes_whole_subtrees_of_younger_children() {
+        let mut t = PathTable::new(8);
+        let a = t.fork(PathId::ROOT, 10).unwrap();
+        let b = t.fork(PathId::ROOT, 20).unwrap();
+        let g = t.fork(b, 25).unwrap();
+        let mut killed = Vec::new();
+        t.kill_lineage_into(PathId::ROOT, 15, &mut killed);
+        assert_eq!(killed, [b, g]);
+        assert!(t.is_alive(a) && t.is_alive(PathId::ROOT));
+        assert!(!t.is_alive(b) && !t.is_alive(g));
+    }
+
+    #[test]
+    fn snapshot_rows_rebuild_the_child_links() {
+        let mut t = PathTable::new(4);
+        let a = t.fork(PathId::ROOT, 10).unwrap();
+        let b = t.fork(a, 12).unwrap();
+        t.kill_subtree(b);
+        let c = t.fork(PathId::ROOT, 14).unwrap();
+        t.retire_path(PathId::ROOT);
+        let _ = t.fork(c, 15).unwrap();
+        let rebuilt = PathTable::from_snapshot_rows(t.snapshot_rows().collect(), 4);
+        assert_eq!(rebuilt.as_ref(), Some(&t));
+    }
+
+    #[test]
+    fn snapshot_rows_reject_out_of_order_forks() {
+        let rows = vec![
+            (None, 0, true),
+            (Some(PathId::ROOT), 20, true),
+            (Some(PathId::ROOT), 20, true),
+        ];
+        assert_eq!(PathTable::from_snapshot_rows(rows, 4), None);
     }
 
     #[test]

@@ -20,6 +20,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use hydra_pipeline::{Core, CoreConfig, RasSharing};
 use hydra_workloads::{Workload, WorkloadSpec};
+use ras_core::MultipathStackPolicy;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
@@ -122,6 +123,36 @@ fn two_hart_system_steady_state_cycles_allocate_nothing() {
     assert_eq!(
         allocs, 0,
         "heap allocations leaked into the 2-hart steady-state hot loop"
+    );
+}
+
+#[test]
+fn multipath_per_path_allocations_plateau() {
+    let _serial = serial();
+    // A multipath core cannot be allocation-free: the path table and the
+    // per-path contexts gain a row per fork and grow by doubling. What
+    // must not grow per fork is the per-path RAS stacks: every dead
+    // path's stack, including a path retired because its fork's other
+    // arm won, returns to the pool that the next fork copies into. A
+    // stack that leaks makes a later fork allocate a fresh one.
+    let w = Workload::generate(&WorkloadSpec::by_name("gcc").expect("known"), 12345)
+        .expect("generates");
+    let config = CoreConfig::multipath(4, MultipathStackPolicy::PerPath);
+    let mut core = Core::new(config, w.program());
+    core.run(80_000);
+
+    let forks_before = core.stats().forks;
+    let allocs = allocs_during(|| {
+        core.run(160_000);
+    });
+    let forks = core.stats().forks - forks_before;
+    assert!(
+        forks > 1_000,
+        "window too short to show a leak: {forks} forks"
+    );
+    assert!(
+        allocs <= 16,
+        "{allocs} allocations over {forks} forks in the second half of the window"
     );
 }
 
